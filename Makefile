@@ -51,7 +51,7 @@ govulncheck:
 # Durability experiments only, tiny iteration counts (the CI bench-smoke
 # job): fails fast on WAL / fsync / group-commit regressions.
 bench-smoke:
-	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E22,E23 -trials 2 -junctions 400 -segments 540
+	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E21,E22,E23 -trials 2 -junctions 400 -segments 540
 
 # Short native-fuzz pass over the byte-facing decoders (the CI
 # fuzz-smoke step): corrupt input must never panic or over-read, and

@@ -1,6 +1,6 @@
 // Benchmarks: one testing.B entry point per evaluation artifact (see the
-// experiment index in DESIGN.md and the recorded results in
-// EXPERIMENTS.md). The printed tables come from cmd/reversecloak-bench;
+// experiment list in internal/bench and the internal/bench row of
+// docs/ARCHITECTURE.md). The printed tables come from cmd/reversecloak-bench;
 // these benchmarks measure the underlying operations with -benchmem.
 package reversecloak_test
 

@@ -144,28 +144,32 @@ func runServe(argv []string) error {
 	if *advertise == "" {
 		*advertise = *addr
 	}
-	switch {
-	case *replicateFrom != "":
-		if *dataDir == "" {
-			return fmt.Errorf("-replicate-from requires -data-dir")
-		}
-		policy, err := rc.ParseFsyncPolicy(*fsyncStr)
-		if err != nil {
+	if *replicateFrom != "" && *dataDir == "" {
+		return fmt.Errorf("-replicate-from requires -data-dir")
+	}
+	// One option list for whichever store backs the server: the lifecycle
+	// options apply to every store, the journal options only with
+	// -data-dir.
+	storeOpts := []rc.DurabilityOption{rc.WithTTL(*ttl), rc.WithGCInterval(*gcInterval)}
+	if *shards > 0 {
+		storeOpts = append(storeOpts, rc.WithDurableShards(*shards))
+	}
+	if keyring != nil {
+		storeOpts = append(storeOpts, rc.WithKeyring(keyring))
+	}
+	var policy rc.FsyncPolicy
+	if *dataDir != "" {
+		if policy, err = rc.ParseFsyncPolicy(*fsyncStr); err != nil {
 			return err
 		}
-		durOpts := []rc.DurabilityOption{
-			rc.WithFsyncPolicy(policy),
-			rc.WithFsyncEvery(*fsyncEvery),
-			rc.WithSnapshotEvery(*snapEvery),
-			rc.WithTTL(*ttl),
-			rc.WithGCInterval(*gcInterval),
-		}
+		storeOpts = append(storeOpts, rc.WithFsyncPolicy(policy),
+			rc.WithFsyncEvery(*fsyncEvery), rc.WithSnapshotEvery(*snapEvery))
 		if *snapInterval > 0 {
-			durOpts = append(durOpts, rc.WithSnapshotInterval(*snapInterval))
+			storeOpts = append(storeOpts, rc.WithSnapshotInterval(*snapInterval))
 		}
-		if keyring != nil {
-			durOpts = append(durOpts, rc.WithKeyring(keyring))
-		}
+	}
+	switch {
+	case *replicateFrom != "":
 		upstreamCodec, err := rc.ParseCodec(*replCodec)
 		if err != nil {
 			return err
@@ -177,7 +181,7 @@ func runServe(argv []string) error {
 			Tenant:       *replTenant,
 			Token:        *replToken,
 			Codec:        upstreamCodec,
-			StoreOptions: durOpts,
+			StoreOptions: storeOpts,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			},
@@ -188,29 +192,9 @@ func runServe(argv []string) error {
 		defer func() { _ = f.Close() }()
 		opts = append(opts, rc.WithStore(f.Store()), rc.WithReplicator(f))
 	case *dataDir != "":
-		policy, err := rc.ParseFsyncPolicy(*fsyncStr)
-		if err != nil {
-			return err
-		}
-		durOpts := []rc.DurabilityOption{
-			rc.WithFsyncPolicy(policy),
-			rc.WithFsyncEvery(*fsyncEvery),
-			rc.WithSnapshotEvery(*snapEvery),
-			rc.WithTTL(*ttl),
-			rc.WithGCInterval(*gcInterval),
-		}
-		if *snapInterval > 0 {
-			durOpts = append(durOpts, rc.WithSnapshotInterval(*snapInterval))
-		}
-		if *shards > 0 {
-			durOpts = append(durOpts, rc.WithDurableShards(*shards))
-		}
-		if keyring != nil {
-			durOpts = append(durOpts, rc.WithKeyring(keyring))
-		}
 		// Open the store ourselves (rather than via WithDurability) so we
 		// can report what recovery found before serving traffic.
-		st, err := rc.OpenDurableStore(*dataDir, durOpts...)
+		st, err := rc.OpenDurableStore(*dataDir, storeOpts...)
 		if err != nil {
 			return err
 		}
@@ -234,11 +218,10 @@ func runServe(argv []string) error {
 		fmt.Println()
 		opts = append(opts, rc.WithStore(st))
 	default:
-		// Construct the in-memory store ourselves so the lifecycle flags
+		// Construct the memory-only store ourselves so the lifecycle flags
 		// apply to it; the server does not close caller-installed stores,
 		// so arrange that here.
-		st := rc.NewShardedStore(*shards,
-			rc.WithStoreTTL(*ttl), rc.WithStoreGCInterval(*gcInterval))
+		st := rc.NewShardedStore(0, storeOpts...)
 		defer func() { _ = st.Close() }()
 		opts = append(opts, rc.WithStore(st))
 	}

@@ -1,7 +1,7 @@
 // Command reversecloak-bench regenerates every evaluation artifact: the
-// experiment tables E5..E13 indexed in DESIGN.md, over the deterministic
-// synthetic Atlanta workload. Results for the committed default seed are
-// recorded in EXPERIMENTS.md.
+// experiment tables listed by bench.Experiments (see the internal/bench
+// row of docs/ARCHITECTURE.md), over the deterministic synthetic Atlanta
+// workload.
 package main
 
 import (

@@ -282,41 +282,11 @@ func TestAuthOpDisabledWithoutRegistry(t *testing.T) {
 }
 
 // TestAdminHandler smoke-tests the observability plane: health and
-// readiness probes and the Prometheus exposition's key series.
+// readiness probes and the Prometheus exposition's key series, on a
+// durable server and on a memory-only one. The memory-only server must
+// refuse repl_subscribe and expose no journal or follower series.
 func TestAdminHandler(t *testing.T) {
-	srv, addr, _ := startTenantServer(t, authFixture,
-		WithStore(mustDurable(t)))
-	c := dial(t, addr)
-	if err := c.Auth("alpha", "a-token"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Anonymize(42, testProfile(), "RGE"); err != nil {
-		t.Fatal(err)
-	}
-
-	h := srv.AdminHandler(AdminConfig{})
-	get := func(path string) (int, string) {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		return rec.Code, rec.Body.String()
-	}
-	if code, _ := get("/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz = %d", code)
-	}
-	if code, _ := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("/readyz = %d", code)
-	}
-	code, body := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
-	for _, series := range []string{
-		"anonymizer_connections_open",
-		"anonymizer_registrations 1",
-		`anonymizer_op_duration_seconds_bucket{op="anonymize"`,
-		`anonymizer_op_duration_seconds_count{op="anonymize"} 1`,
-		`anonymizer_tenant_ops_total{tenant="alpha"}`,
+	journal := []string{
 		"anonymizer_wal_records_total 1",
 		"anonymizer_wal_fsyncs_total",
 		"anonymizer_wal_group_commit_last_cohort",
@@ -325,31 +295,89 @@ func TestAdminHandler(t *testing.T) {
 		`anonymizer_wal_fsync_duration_seconds_bucket{le="+Inf"}`,
 		"anonymizer_wal_fsync_duration_seconds_count",
 		"anonymizer_stream_watermark_sum 1",
+	}
+	for _, tc := range []struct {
+		name   string
+		store  Store
+		want   []string
+		absent []string
+	}{
+		{name: "durable", store: mustDurable(t), want: journal},
+		{name: "memory", store: NewShardedStore(2),
+			absent: []string{"anonymizer_wal_", "anonymizer_stream_watermark_sum", "anonymizer_repl_follower_behind"}},
 	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics missing %q", series)
-		}
-	}
-	// Every tracked op exposes its error counter unconditionally.
-	for _, op := range sortedOps() {
-		if !strings.Contains(body, `anonymizer_op_errors_total{op="`+op+`"}`) {
-			t.Errorf("/metrics missing error counter for op %q", op)
-		}
-	}
-	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Errorf("/debug/pprof/cmdline = %d", code)
-	}
-	if code, _ := get("/nope"); code != http.StatusNotFound {
-		t.Errorf("unknown path = %d, want 404", code)
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr, _ := startTenantServer(t, authFixture, WithStore(tc.store))
+			c := dial(t, addr)
+			if err := c.Auth("alpha", "a-token"); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Anonymize(42, testProfile(), "RGE"); err != nil {
+				t.Fatal(err)
+			}
+			if tc.absent != nil {
+				const want = "anonymizer: bad operation: replication requires a durable store"
+				if _, err := c.ReplSubscribe(0, false, "127.0.0.1:9999", nil); err == nil ||
+					!strings.Contains(err.Error(), want) {
+					t.Fatalf("repl_subscribe on a memory-only store = %v, want %q", err, want)
+				}
+			}
 
-	// A closed server flips both probes.
-	_ = srv.Close()
-	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
-		t.Errorf("/healthz after close = %d", code)
-	}
-	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("/readyz after close = %d", code)
+			h := srv.AdminHandler(AdminConfig{})
+			get := func(path string) (int, string) {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				return rec.Code, rec.Body.String()
+			}
+			if code, _ := get("/healthz"); code != http.StatusOK {
+				t.Fatalf("/healthz = %d", code)
+			}
+			if code, _ := get("/readyz"); code != http.StatusOK {
+				t.Fatalf("/readyz = %d", code)
+			}
+			code, body := get("/metrics")
+			if code != http.StatusOK {
+				t.Fatalf("/metrics = %d", code)
+			}
+			for _, series := range append([]string{
+				"anonymizer_connections_open",
+				"anonymizer_registrations 1",
+				`anonymizer_op_duration_seconds_bucket{op="anonymize"`,
+				`anonymizer_op_duration_seconds_count{op="anonymize"} 1`,
+				`anonymizer_tenant_ops_total{tenant="alpha"}`,
+			}, tc.want...) {
+				if !strings.Contains(body, series) {
+					t.Errorf("/metrics missing %q", series)
+				}
+			}
+			for _, series := range tc.absent {
+				if strings.Contains(body, series) {
+					t.Errorf("/metrics has %q on a memory-only store", series)
+				}
+			}
+			// Every tracked op exposes its error counter unconditionally.
+			for _, op := range sortedOps() {
+				if !strings.Contains(body, `anonymizer_op_errors_total{op="`+op+`"}`) {
+					t.Errorf("/metrics missing error counter for op %q", op)
+				}
+			}
+			if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
+				t.Errorf("/debug/pprof/cmdline = %d", code)
+			}
+			if code, _ := get("/nope"); code != http.StatusNotFound {
+				t.Errorf("unknown path = %d, want 404", code)
+			}
+
+			// A closed server flips both probes.
+			_ = srv.Close()
+			if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
+				t.Errorf("/healthz after close = %d", code)
+			}
+			if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+				t.Errorf("/readyz after close = %d", code)
+			}
+		})
 	}
 }
 

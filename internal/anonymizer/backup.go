@@ -48,8 +48,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // store stays live throughout: mutations landing while the backup streams
 // are captured per shard up to the moment its lock is taken.
 func (s *DurableStore) WriteBackup(w io.Writer) (int64, error) {
-	if s.closed.Load() {
-		return 0, ErrStoreClosed
+	if err := s.needJournal("backup"); err != nil {
+		return 0, err
 	}
 	if err := s.Snapshot(); err != nil {
 		return 0, fmt.Errorf("anonymizer: backup quiesce: %w", err)
@@ -371,8 +371,8 @@ type IncrementalStats struct {
 // the records are no longer individually addressable and the caller must
 // take a full backup instead.
 func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since Watermark) (int64, *IncrementalStats, error) {
-	if s.closed.Load() {
-		return 0, nil, ErrStoreClosed
+	if err := s.needJournal("backup"); err != nil {
+		return 0, nil, err
 	}
 	if len(since) != len(s.shards) {
 		return 0, nil, fmt.Errorf("%w: watermark of %d elements for %d shards",

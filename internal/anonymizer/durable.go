@@ -15,7 +15,7 @@ import (
 	"github.com/reversecloak/reversecloak/internal/keys"
 )
 
-// ErrStoreClosed reports use of a closed durable store.
+// ErrStoreClosed reports use of a closed store.
 var ErrStoreClosed = errors.New("anonymizer: store closed")
 
 // FsyncPolicy selects when the durable store forces WAL appends to disk.
@@ -89,7 +89,7 @@ type durabilityConfig struct {
 }
 
 // defaultDurabilityConfig returns the config before options are applied.
-// The durable store defaults to fewer shards than the in-memory one:
+// A journaled store defaults to fewer shards than a memory-only one:
 // shards are lock-striping and stream-parallelism units (every shard
 // journals into the one store-wide log), and 16 keeps per-shard index
 // overhead low while spreading lock contention.
@@ -215,11 +215,6 @@ func WithClock(now func() time.Time) DurabilityOption {
 	}
 }
 
-// withDurableClock substitutes the expiry clock (tests).
-func withDurableClock(now func() time.Time) DurabilityOption {
-	return WithClock(now)
-}
-
 // RecoveryStats describes what OpenDurableStore found on disk.
 type RecoveryStats struct {
 	// Registrations is the number of live registrations recovered.
@@ -280,15 +275,24 @@ type durableShard struct {
 	entries []streamEntry
 }
 
-// DurableStore is a crash-safe Store: every lifecycle mutation is
-// journaled to the store-wide CRC-framed write-ahead log before it is
-// acknowledged, shards are periodically compacted into snapshots, and
-// OpenDurableStore replays snapshot + log through the same apply path the
-// live store uses — preserving the paper's reversibility guarantee across
-// restarts, since a region is only de-anonymizable while the service
-// still holds its keys. Registrations with a TTL expire on schedule: the
-// GC sweeper journals expire mutations, and recovery is expiry-aware, so
-// a reopened store never resurrects a dead region.
+// DurableStore is the registration store: N lock-striped shards, each a
+// regTable every lifecycle mutation is applied to. It runs in one of two
+// modes, and journaled reports which.
+//
+// Opened on a data directory (OpenDurableStore) it is crash-safe: every
+// lifecycle mutation is journaled to the store-wide CRC-framed
+// write-ahead log before it is acknowledged, shards are periodically
+// compacted into snapshots, and OpenDurableStore replays snapshot + log
+// through the same apply path the live store uses — preserving the
+// paper's reversibility guarantee across restarts, since a region is only
+// de-anonymizable while the service still holds its keys. Registrations
+// with a TTL expire on schedule: the GC sweeper journals expire
+// mutations, and recovery is expiry-aware, so a reopened store never
+// resurrects a dead region.
+//
+// Built by NewShardedStore it is memory-only: no data directory, log,
+// snapshots or fsync loop, and a mutation is just the apply under its
+// shard lock. Backup, streaming and epoch operations refuse to run.
 //
 // It is safe for concurrent use and satisfies Store; plug it into a
 // server with WithStore, or let WithDurability construct one for you.
@@ -300,9 +304,10 @@ type DurableStore struct {
 	nextID atomic.Uint64
 	stats  RecoveryStats
 
-	// log is the store-wide unified journal every shard appends into; gc
-	// is the store-wide group commit over it — ONE fsync per cohort for
-	// the whole store, which is the point of the single-log layout.
+	// log is the store-wide unified journal every shard appends into (nil
+	// in memory-only mode); gc is the store-wide group commit over it —
+	// ONE fsync per cohort for the whole store, which is the point of the
+	// single-log layout.
 	log *storeLog
 	gc  groupCommit
 
@@ -366,15 +371,8 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &DurableStore{
-		dir:    dir,
-		cfg:    cfg,
-		shards: make([]*durableShard, size),
-		mask:   uint32(size - 1),
-		stop:   make(chan struct{}),
-	}
-	s.gc.init()
-	s.replica.Store(cfg.replica)
+	s := newStore(cfg, size)
+	s.dir = dir
 	if err := s.loadEpoch(); err != nil {
 		return nil, err
 	}
@@ -502,6 +500,67 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	return s, nil
 }
 
+// NewShardedStore builds a memory-only store: a DurableStore with no data
+// directory, so nothing is journaled, snapshotted or fsynced, and a store
+// that never sees an expiring registration runs no goroutine. It has n
+// shards, rounded up to a power of two (n <= 0 selects DefaultShards;
+// WithDurableShards overrides n). Of the options only the lifecycle ones
+// take effect: TTL, GC interval, clock and replica.
+func NewShardedStore(n int, opts ...DurabilityOption) Store {
+	cfg := defaultDurabilityConfig()
+	cfg.shards = DefaultShards
+	if n > 0 {
+		cfg.shards = n
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	s := newStore(cfg, roundShards(cfg.shards))
+	for i := range s.shards {
+		s.shards[i] = &durableShard{tab: newRegTable(), idx: i}
+	}
+	return s
+}
+
+// newStore builds the store both modes share, with size shard slots for
+// the caller to fill.
+func newStore(cfg durabilityConfig, size int) *DurableStore {
+	s := &DurableStore{
+		cfg:    cfg,
+		shards: make([]*durableShard, size),
+		mask:   uint32(size - 1),
+		stop:   make(chan struct{}),
+	}
+	s.gc.init()
+	s.replica.Store(cfg.replica)
+	return s
+}
+
+// roundShards rounds a requested shard count up to a power of two.
+func roundShards(n int) int {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	return size
+}
+
+// journaled reports whether the store writes anything: false in the
+// memory-only mode NewShardedStore builds.
+func (s *DurableStore) journaled() bool { return s.log != nil }
+
+// needJournal refuses op on a closed or memory-only store; backup,
+// streaming, snapshot and epoch operations all start with it.
+func (s *DurableStore) needJournal(op string) error {
+	if s.closed.Load() {
+		return ErrStoreClosed
+	}
+	if !s.journaled() {
+		return fmt.Errorf("%w: %s requires a durable store", ErrBadOp, op)
+	}
+	return nil
+}
+
 // storeMeta is the self-describing header of a durable data directory.
 // The shard count is a property of the data on disk, not of the opener:
 // region IDs map to shard files by hash, so reading with a different
@@ -572,10 +631,7 @@ func loadOrInitMeta(dir string, requested int) (int, int, error) {
 	if !errors.Is(err, os.ErrNotExist) {
 		return 0, 0, err
 	}
-	size = 1
-	for size < requested {
-		size <<= 1
-	}
+	size = roundShards(requested)
 	raw, err := encodeMetaVersion(size, storeMetaVersion)
 	if err != nil {
 		return 0, 0, err
@@ -687,10 +743,10 @@ func (s *DurableStore) shardFor(id string) *durableShard {
 	return s.shards[shardIndex(id, s.mask)]
 }
 
-// setCacheInvalidator implements cacheInvalidating: every shard's table
-// reports removed registrations to fn from the shared apply path, so
-// live mutations, follower frame ingest, the GC sweeper and snapshot
-// compaction's expiry sweep all invalidate the server's read-path cache
+// setCacheInvalidator hooks the server's read-path cache into the store:
+// every shard's table reports removed registrations to fn from the shared
+// apply path, so live mutations, follower frame ingest, the GC sweeper
+// and snapshot compaction's expiry sweep all invalidate the cache
 // identically.
 func (s *DurableStore) setCacheInvalidator(fn func(id string)) {
 	for _, sh := range s.shards {
@@ -746,8 +802,8 @@ func (s *DurableStore) writeFrameLocked(sh *durableShard, frame []byte, seq uint
 // mutate runs one lifecycle mutation through the event-sourced pipeline:
 // precondition check, journal, apply, optional compaction, and — under
 // FsyncAlways — a group-commit wait for the record's offset. This is the
-// durable store's only write path; recovery replays the same records
-// through the same apply.
+// store's only write path; recovery replays the same records through the
+// same apply, and a memory-only store runs just the apply.
 //
 // A failed group-commit fsync is returned to every cohort waiter whose
 // record may sit in the unsynced tail. Their mutations remain applied in
@@ -756,12 +812,20 @@ func (s *DurableStore) writeFrameLocked(sh *durableShard, frame []byte, seq uint
 // and a subsequent successful sync or snapshot re-converges disk with
 // memory.
 func (s *DurableStore) mutate(m *Mutation) error {
+	if s.closed.Load() {
+		return ErrStoreClosed
+	}
 	if s.replica.Load() {
 		return ErrNotLeader
 	}
 	now := s.cfg.now().UnixNano()
 	sh := s.shardFor(m.ID)
 	sh.mu.Lock()
+	if !s.journaled() {
+		_, err := sh.tab.apply(m, applyLive, now)
+		sh.mu.Unlock()
+		return err
+	}
 	// Validate before journaling so the WAL never carries a record the
 	// live path rejected.
 	if err := sh.tab.check(m, now); err != nil {
@@ -787,11 +851,9 @@ func (s *DurableStore) mutate(m *Mutation) error {
 	return nil
 }
 
-// AllocateID hands out a fresh region ID without registering anything —
-// the hook derived-key registrations need, because their keys are derived
-// from the ID before the region is cut. An allocated ID that never
-// registers (a crash in between) is just a hole in the sequence; recovery
-// only tracks IDs that reached the journal.
+// AllocateID implements Store. An allocated ID that never registers (a
+// crash in between) is just a hole in the sequence; recovery only tracks
+// IDs that reached the journal.
 func (s *DurableStore) AllocateID() string {
 	return fmt.Sprintf("r%d", s.nextID.Add(1))
 }
@@ -803,9 +865,6 @@ func (s *DurableStore) AllocateID() string {
 // derived from it), so it registers under that ID instead of drawing a
 // fresh one.
 func (s *DurableStore) Register(reg *Registration) (string, error) {
-	if s.closed.Load() {
-		return "", ErrStoreClosed
-	}
 	reg = withDefaultExpiry(reg, s.cfg.ttl, s.cfg.now())
 	id := reg.keyID
 	if !reg.derived() || id == "" {
@@ -841,18 +900,12 @@ func (s *DurableStore) Lookup(id string) (*Registration, error) {
 // policy mutates, so a recovered store grants exactly what the live one
 // did.
 func (s *DurableStore) SetTrust(id, requester string, toLevel int) error {
-	if s.closed.Load() {
-		return ErrStoreClosed
-	}
 	return s.mutate(&Mutation{Op: MutSetTrust, ID: id, Requester: requester, ToLevel: toLevel})
 }
 
 // Deregister implements Store: once journaled, the registration's keys
 // are gone for good and the region is no longer recoverable.
 func (s *DurableStore) Deregister(id string) error {
-	if s.closed.Load() {
-		return ErrStoreClosed
-	}
 	if id == "" {
 		return fmt.Errorf("%w: missing region id", ErrBadOp)
 	}
@@ -865,9 +918,6 @@ func (s *DurableStore) Deregister(id string) error {
 // as a touch mutation through the same pipeline as every other
 // lifecycle change, so recovery and replication replay it identically.
 func (s *DurableStore) Touch(id string, ttl time.Duration) (time.Time, error) {
-	if s.closed.Load() {
-		return time.Time{}, ErrStoreClosed
-	}
 	if id == "" {
 		return time.Time{}, fmt.Errorf("%w: missing region id", ErrBadOp)
 	}
@@ -899,9 +949,9 @@ func (s *DurableStore) Len() int {
 	return n
 }
 
-// SweepExpired implements Store: it journals an expire mutation for
-// every registration whose TTL has elapsed and removes it. Expire
-// records are not group-committed: nothing is acknowledged on their
+// SweepExpired implements Store: it journals (when journaled) an expire
+// mutation for every registration whose TTL has elapsed and removes it.
+// Expire records are not group-committed: nothing is acknowledged on their
 // back, and recovery re-drops expired registrations regardless, so
 // losing one to a crash is harmless.
 func (s *DurableStore) SweepExpired() (int, error) {
@@ -925,15 +975,17 @@ func (s *DurableStore) SweepExpired() (int, error) {
 		}
 		for _, id := range ids {
 			m := &Mutation{Op: MutExpire, ID: id}
-			if _, err := s.appendLocked(sh, recordFromMutation(m)); err != nil {
-				sh.mu.Unlock()
-				return n, err
+			if s.journaled() {
+				if _, err := s.appendLocked(sh, recordFromMutation(m)); err != nil {
+					sh.mu.Unlock()
+					return n, err
+				}
 			}
 			if applied, _ := sh.tab.apply(m, applyLive, now); applied {
 				n++
 			}
 		}
-		if len(ids) > 0 {
+		if len(ids) > 0 && s.journaled() {
 			s.maybeSnapshotLocked(sh)
 		}
 		sh.mu.Unlock()
@@ -1090,8 +1142,8 @@ func syncDir(dir string) error {
 // Snapshot forces a compaction of every shard, e.g. before a planned
 // shutdown or backup.
 func (s *DurableStore) Snapshot() error {
-	if s.closed.Load() {
-		return ErrStoreClosed
+	if err := s.needJournal("snapshot"); err != nil {
+		return err
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -1107,6 +1159,9 @@ func (s *DurableStore) Snapshot() error {
 // Sync forces the unified log to disk (under FsyncAlways a safety net;
 // the group commit already synced every acknowledged record).
 func (s *DurableStore) Sync() error {
+	if err := s.needJournal("sync"); err != nil {
+		return err
+	}
 	return s.log.sync()
 }
 
@@ -1134,8 +1189,12 @@ type WALStats struct {
 	LogSegments int64
 }
 
-// WALStats snapshots the journaling counters.
+// WALStats snapshots the journaling counters (all zero in memory-only
+// mode).
 func (s *DurableStore) WALStats() WALStats {
+	if !s.journaled() {
+		return WALStats{}
+	}
 	bytes, segs := s.log.stats()
 	return WALStats{
 		Records:               s.recordsTotal.Load(),
@@ -1190,9 +1249,9 @@ func (s *DurableStore) snapshotDirty() {
 	}
 }
 
-// Close flushes and closes the unified log. Operations issued after
-// Close fail with ErrStoreClosed; the on-disk state reopens to exactly
-// the acknowledged mutations.
+// Close stops the background loops and flushes and closes the unified
+// log. Operations issued after Close fail with ErrStoreClosed; the
+// on-disk state reopens to exactly the acknowledged mutations.
 func (s *DurableStore) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -1204,5 +1263,8 @@ func (s *DurableStore) Close() error {
 	close(s.stop)
 	s.gcMu.Unlock()
 	s.bg.Wait()
+	if !s.journaled() {
+		return nil
+	}
 	return s.log.close()
 }

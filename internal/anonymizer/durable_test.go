@@ -512,23 +512,37 @@ func TestDurableStoreConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestDurableStoreClosedErrors pins the post-Close behavior.
+// TestDurableStoreClosedErrors pins the post-Close behavior, journaled
+// and memory-only alike.
 func TestDurableStoreClosedErrors(t *testing.T) {
-	st, err := OpenDurableStore(t.TempDir(), WithDurableShards(1))
+	durable, err := OpenDurableStore(t.TempDir(), WithDurableShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Register(fakeRegistration(t, 1)); !errors.Is(err, ErrStoreClosed) {
-		t.Errorf("Register after Close: %v, want ErrStoreClosed", err)
-	}
-	if err := st.Deregister("r1"); !errors.Is(err, ErrStoreClosed) {
-		t.Errorf("Deregister after Close: %v, want ErrStoreClosed", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
+	for name, st := range map[string]Store{"durable": durable, "memory": NewShardedStore(1)} {
+		t.Run(name, func(t *testing.T) {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Register(fakeRegistration(t, 1)); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Register after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.SetTrust("r1", "x", 0); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("SetTrust after Close: %v, want ErrStoreClosed", err)
+			}
+			if _, err := st.Touch("r1", time.Minute); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Touch after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.Deregister("r1"); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Deregister after Close: %v, want ErrStoreClosed", err)
+			}
+			if _, err := st.SweepExpired(); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("SweepExpired after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
 	}
 }
 

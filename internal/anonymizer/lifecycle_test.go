@@ -32,7 +32,7 @@ func TestShardedStoreTTLLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	st := NewShardedStore(4,
 		WithStoreTTL(time.Minute), WithStoreGCInterval(0),
-		withStoreClock(clock.Now)).(*shardedStore)
+		WithClock(clock.Now)).(*DurableStore)
 
 	var defIDs, longIDs []string
 	for i := 0; i < 20; i++ {
@@ -127,7 +127,7 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 	open := func() *DurableStore {
 		st, err := OpenDurableStore(dir,
 			WithDurableShards(2), WithFsyncPolicy(FsyncAlways),
-			WithGCInterval(0), withDurableClock(clock.Now))
+			WithGCInterval(0), WithClock(clock.Now))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestDurableStoreCompactionReclaimsExpired(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithGCInterval(0), WithSnapshotEvery(0), withDurableClock(clock.Now))
+		WithGCInterval(0), WithSnapshotEvery(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestDurableStoreCompactionReclaimsExpired(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenDurableStore(dir, WithGCInterval(0), withDurableClock(clock.Now))
+	st2, err := OpenDurableStore(dir, WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithTTL(time.Minute), WithGCInterval(0), withDurableClock(clock.Now))
+		WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	}
 
 	clock.Advance(2 * time.Minute)
-	st2, err := OpenDurableStore(dir, WithGCInterval(0), withDurableClock(clock.Now))
+	st2, err := OpenDurableStore(dir, WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 // vanishes for every operation once the clock passes the expiry.
 func TestServerTTLEndToEnd(t *testing.T) {
 	clock := newFakeClock()
-	st := NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clock.Now))
+	st := NewShardedStore(4, WithStoreGCInterval(0), WithClock(clock.Now))
 	defer func() { _ = st.Close() }()
 	g, density := testGrid(t)
 	srv := newTestServer(t, g, density, WithStore(st))

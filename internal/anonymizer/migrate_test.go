@@ -414,7 +414,7 @@ func migrationConformanceTrial(t *testing.T, seed int64, shards int) {
 		WithDurableShards(shards),
 		WithSnapshotEvery(7),
 		WithGCInterval(0),
-		withDurableClock(clk.Now))
+		WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,8 +483,8 @@ func migrationConformanceTrial(t *testing.T, seed int64, shards int) {
 		}
 	}
 
-	sta := openDurable(t, dirs[0], withDurableClock(clk.Now), WithGCInterval(0))
-	stb := openDurable(t, dirs[1], withDurableClock(clk.Now), WithGCInterval(0))
+	sta := openDurable(t, dirs[0], WithClock(clk.Now), WithGCInterval(0))
+	stb := openDurable(t, dirs[1], WithClock(clk.Now), WithGCInterval(0))
 
 	// (2) migrated state == original state.
 	requireSameState(t, fmt.Sprintf("migrate(k=%d)", shards),
@@ -523,7 +523,7 @@ func migrationConformanceTrial(t *testing.T, seed int64, shards int) {
 	// from the PRE-migration archive resumes from its watermark against
 	// the migrated leader — the per-shard stream offsets must line up
 	// exactly across the layout change.
-	follower := openDurable(t, dirs[2], withDurableClock(clk.Now), WithGCInterval(0), WithReplica())
+	follower := openDurable(t, dirs[2], WithClock(clk.Now), WithGCInterval(0), WithReplica())
 	for i := 0; i < 8; i++ {
 		id, err := sta.Register(fakeRegistration(t, 1+rng.Intn(2)))
 		if err != nil {

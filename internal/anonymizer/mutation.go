@@ -51,8 +51,8 @@ func (op MutationOp) String() string {
 }
 
 // Mutation is one event of the registration lifecycle: the single typed
-// unit that flows through every store. The in-memory store applies
-// mutations directly; the durable store journals a mutation to its WAL and
+// unit that flows through the store. A memory-only store applies
+// mutations directly; a journaled store writes a mutation to its WAL and
 // then applies it; recovery replays journaled mutations through the same
 // apply path. There is exactly one apply implementation (regTable.apply),
 // so the live state, the log, and the recovered state can never drift
@@ -125,9 +125,9 @@ func (t *replayTally) note(m *Mutation, applied bool) {
 	}
 }
 
-// regTable is the in-memory registration state of one store shard. Both
-// store implementations hold one per shard and route every mutation
-// through apply below; the caller provides the locking.
+// regTable is the in-memory registration state of one store shard. The
+// store holds one per shard and routes every mutation through apply
+// below; the caller provides the locking.
 type regTable struct {
 	regs map[string]*Registration
 	// inval, when set, is called (under the shard lock) with the ID of
@@ -201,9 +201,9 @@ func (t regTable) check(m *Mutation, now int64) error {
 }
 
 // apply transitions the table by one mutation. This is the system's
-// single mutation-apply implementation: the in-memory store, the durable
-// store's journal-then-apply flow and WAL/snapshot replay all route
-// through it. It reports whether the mutation changed state — replay
+// single mutation-apply implementation: the memory-only store, the
+// journaled store's journal-then-apply flow and WAL/snapshot replay all
+// route through it. It reports whether the mutation changed state — replay
 // counts recovery statistics off that flag — and now is the clock reading
 // expiry is evaluated against (the current instant live, the open instant
 // during replay, in unix nanoseconds).

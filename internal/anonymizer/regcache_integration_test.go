@@ -261,7 +261,7 @@ func TestReduceCacheDeregisterStaleness(t *testing.T) {
 func TestReduceCacheExpiryStaleness(t *testing.T) {
 	clk := newFakeClock()
 	g, density := testGrid(t)
-	st := NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clk.Now))
+	st := NewShardedStore(4, WithStoreGCInterval(0), WithClock(clk.Now))
 	srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
 	id, ok := registerReducible(t, st, srv.engines[cloak.RGE], 7, cacheTestProfile(),
 		clk.Now().Add(10*time.Second))

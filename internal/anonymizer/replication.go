@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -60,17 +59,6 @@ type FollowerStatus struct {
 	// LastAckMillis is the unix-millisecond timestamp of the last ack
 	// (or subscription, before the first ack).
 	LastAckMillis int64 `json:"last_ack_ms"`
-}
-
-// replStore is the store capability the replication ops require — the
-// stream face the durable store implements; the in-memory store has no
-// log to ship.
-type replStore interface {
-	TailFrom(shard int, after uint64, max int) ([]StreamFrame, uint64, error)
-	Watermark() Watermark
-	ShardCount() int
-	Epoch() (uint64, bool)
-	WriteIncrementalBackup(w io.Writer, since Watermark) (int64, *IncrementalStats, error)
 }
 
 // followerReg tracks one subscribed follower's acked position on the
@@ -151,10 +139,20 @@ func writeOp(op Op) bool {
 	}
 }
 
-// replstore resolves the store's stream capability or fails the request.
-func (s *Server) replstore() (replStore, *Response) {
-	st, ok := s.store.(replStore)
-	if !ok {
+// journal returns the server's store when it keeps a journal — what
+// backup, replication and the WAL metrics read — or nil when it is
+// memory-only.
+func (s *Server) journal() *DurableStore {
+	if ds, ok := s.store.(*DurableStore); ok && ds.journaled() {
+		return ds
+	}
+	return nil
+}
+
+// replstore resolves the store's journal or fails the request.
+func (s *Server) replstore() (*DurableStore, *Response) {
+	st := s.journal()
+	if st == nil {
 		return nil, fail(fmt.Errorf("%w: replication requires a durable store", ErrBadOp))
 	}
 	return st, nil

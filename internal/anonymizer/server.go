@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -75,7 +74,7 @@ func WithDurability(dir string, opts ...DurabilityOption) ServerOption {
 	}
 }
 
-// WithShards selects the shard count of the default in-memory store
+// WithShards selects the shard count of the default memory-only store
 // (rounded up to a power of two). Ignored when WithStore is also given.
 func WithShards(n int) ServerOption {
 	return func(c *serverConfig) {
@@ -190,7 +189,7 @@ type Server struct {
 	engines map[cloak.Algorithm]*cloak.Engine
 	store   Store
 	// ownedStore is the store the server created itself (the default
-	// in-memory store, WithShards, or WithDurability) and must close on
+	// memory-only store, WithShards, or WithDurability) and must close on
 	// Close; nil when the caller installed one via WithStore.
 	ownedStore Store
 	cfg        serverConfig
@@ -256,9 +255,9 @@ func NewServer(engines map[cloak.Algorithm]*cloak.Engine, opts ...ServerOption) 
 		// Build the read-path cache only when the store can report
 		// removals into it; invalidation must flow from the one shared
 		// apply path or not at all.
-		if ci, ok := cfg.store.(cacheInvalidating); ok {
+		if ds, ok := cfg.store.(*DurableStore); ok {
 			s.cache = regcache.New(regcache.Config{MaxBytes: cfg.cacheBytes})
-			ci.setCacheInvalidator(s.cache.Invalidate)
+			ds.setCacheInvalidator(s.cache.Invalidate)
 		}
 	}
 	return s, nil
@@ -555,19 +554,14 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 	// Derived-key mode: allocate the registration's ID up front (the keys
 	// are a function of it), derive the per-level keys from the active
 	// master epoch, and record only the (epoch, levels) reference. Without
-	// a keyring — or against a store that cannot pre-allocate IDs — fresh
-	// random keys are generated and stored, as before.
+	// a keyring, fresh random keys are generated and stored, as before.
 	var (
 		keySet *keys.Set
-		alloc  idAllocator
 		regID  string
 		epoch  uint32
 	)
 	if s.cfg.keyring != nil {
-		alloc, _ = s.store.(idAllocator)
-	}
-	if alloc != nil {
-		regID = alloc.AllocateID()
+		regID = s.store.AllocateID()
 		epoch = s.cfg.keyring.ActiveEpoch()
 		ks, err := s.cfg.keyring.DeriveSet(epoch, regID, levels)
 		if err != nil {
@@ -597,7 +591,7 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 		return fail(ErrServerClosed)
 	}
 	var reg *Registration
-	if alloc != nil {
+	if s.cfg.keyring != nil {
 		reg = NewDerivedRegistration(region, s.cfg.keyring, epoch, regID, levels, policy)
 	} else {
 		reg = &Registration{region: region, keySet: keySet, policy: policy}
@@ -664,13 +658,6 @@ func (s *Server) handleDeregister(req *Request) *Response {
 	return newResp(true)
 }
 
-// backuper is the optional store capability the backup op requires; the
-// durable store implements it, the in-memory one (nothing to back up —
-// its state dies with the process anyway) does not.
-type backuper interface {
-	WriteBackup(w io.Writer) (int64, error)
-}
-
 // handleBackup streams a hot backup of a durable store into the response.
 // The archive is consistent per shard (each shard is copied under its
 // lock as a prefix of its mutation stream) and self-verifying: restore
@@ -695,12 +682,12 @@ func (s *Server) handleBackup(req *Request) *Response {
 		resp.Archive = buf.Bytes()
 		return resp
 	}
-	b, ok := s.store.(backuper)
-	if !ok {
+	st := s.journal()
+	if st == nil {
 		return fail(fmt.Errorf("%w: backup requires a durable store", ErrBadOp))
 	}
 	var buf bytes.Buffer
-	if _, err := b.WriteBackup(&buf); err != nil {
+	if _, err := st.WriteBackup(&buf); err != nil {
 		return fail(err)
 	}
 	resp := newResp(true)

@@ -193,8 +193,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 
 	// Durable-store internals: WAL fsyncs, group commit, snapshots,
-	// stream position. Absent on in-memory servers.
-	if ds, ok := s.store.(*DurableStore); ok {
+	// stream position. Absent on memory-only servers.
+	if ds := s.journal(); ds != nil {
 		ws := ds.WALStats()
 		fmt.Fprintf(w, "# HELP anonymizer_wal_records_total Mutation records journaled.\n")
 		fmt.Fprintf(w, "# TYPE anonymizer_wal_records_total counter\n")
@@ -266,7 +266,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 	}
 	if s.isLeader() {
-		if ds, ok := s.store.(*DurableStore); ok {
+		if ds := s.journal(); ds != nil {
 			followers := s.replFollowers.snapshot(ds.Watermark())
 			if len(followers) > 0 {
 				fmt.Fprintf(w, "# HELP anonymizer_repl_follower_behind Stream records each subscribed follower trails by.\n")

@@ -3,8 +3,12 @@ package anonymizer
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestShardedStoreRoundsUpToPowerOfTwo(t *testing.T) {
@@ -12,7 +16,7 @@ func TestShardedStoreRoundsUpToPowerOfTwo(t *testing.T) {
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4},
 		{5, 8}, {64, 64}, {65, 128},
 	} {
-		st := NewShardedStore(tc.in).(*shardedStore)
+		st := NewShardedStore(tc.in).(*DurableStore)
 		if got := len(st.shards); got != tc.want {
 			t.Errorf("NewShardedStore(%d) built %d shards, want %d", tc.in, got, tc.want)
 		}
@@ -93,5 +97,91 @@ func TestShardedStoreConcurrent(t *testing.T) {
 	}
 	if st.Len() != goroutines*perG {
 		t.Errorf("Len = %d, want %d", st.Len(), goroutines*perG)
+	}
+}
+
+// TestMemoryStoreWritesNothing pins the memory-only mode's contract: it
+// creates no file (run from an empty working directory, where a stray
+// relative path would land), starts no goroutine until a registration
+// can expire, and refuses every journal operation.
+func TestMemoryStoreWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(wd) })
+
+	clk := newFakeClock()
+	st := NewShardedStore(4, WithGCInterval(time.Hour), WithClock(clk.Now)).(*DurableStore)
+	sweeping := func() bool {
+		st.gcMu.Lock()
+		defer st.gcMu.Unlock()
+		return st.gcStarted
+	}
+	before := runtime.NumGoroutine()
+	id, err := st.Register(fakeRegistration(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetTrust(id, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Touch(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SweepExpired(); err != nil {
+		t.Fatal(err)
+	}
+	if sweeping() || runtime.NumGoroutine() > before {
+		t.Fatalf("goroutines %d -> %d (sweeper %v) before any registration could expire",
+			before, runtime.NumGoroutine(), sweeping())
+	}
+	reg := fakeRegistration(t, 1)
+	reg.SetExpiry(clk.Now().Add(time.Minute))
+	if _, err := st.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	if !sweeping() {
+		t.Fatal("an expiring registration did not start the sweeper")
+	}
+
+	// Every operation that reads or writes the journal refuses.
+	if err := st.Snapshot(); !errors.Is(err, ErrBadOp) {
+		t.Errorf("Snapshot: %v, want ErrBadOp", err)
+	}
+	if err := st.Sync(); !errors.Is(err, ErrBadOp) {
+		t.Errorf("Sync: %v, want ErrBadOp", err)
+	}
+	if _, err := st.WriteBackup(io.Discard); !errors.Is(err, ErrBadOp) {
+		t.Errorf("WriteBackup: %v, want ErrBadOp", err)
+	}
+	if _, _, err := st.WriteIncrementalBackup(io.Discard, make(Watermark, 4)); !errors.Is(err, ErrBadOp) {
+		t.Errorf("WriteIncrementalBackup: %v, want ErrBadOp", err)
+	}
+	if _, _, err := st.TailFrom(0, 0, 0); !errors.Is(err, ErrBadOp) {
+		t.Errorf("TailFrom: %v, want ErrBadOp", err)
+	}
+	if _, err := st.IngestFrame(StreamFrame{}); !errors.Is(err, ErrBadOp) {
+		t.Errorf("IngestFrame: %v, want ErrBadOp", err)
+	}
+	if err := st.SetEpoch(2, true); !errors.Is(err, ErrBadOp) {
+		t.Errorf("SetEpoch: %v, want ErrBadOp", err)
+	}
+	if ws := st.WALStats(); ws != (WALStats{}) {
+		t.Errorf("WALStats = %+v, want zero", ws)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("memory-only store created %s", e.Name())
 	}
 }

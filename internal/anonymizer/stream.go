@@ -133,11 +133,11 @@ func (s *DurableStore) Watermark() Watermark {
 // only deletes snapshot-covered prefixes) every segment the index points
 // into.
 func (s *DurableStore) TailFrom(shard int, after uint64, max int) ([]StreamFrame, uint64, error) {
+	if err := s.needJournal("stream"); err != nil {
+		return nil, 0, err
+	}
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, 0, fmt.Errorf("%w: shard %d of %d", ErrBadOp, shard, len(s.shards))
-	}
-	if s.closed.Load() {
-		return nil, 0, ErrStoreClosed
 	}
 	sh := s.shards[shard]
 	sh.mu.RLock()
@@ -183,8 +183,8 @@ func (s *DurableStore) TailFrom(shard int, after uint64, max int) ([]StreamFrame
 // skipped (applied=false); a frame that would skip offsets reports
 // ErrStreamGap — the stream has a hole and the consumer must re-sync.
 func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
-	if s.closed.Load() {
-		return false, ErrStoreClosed
+	if err := s.needJournal("stream"); err != nil {
+		return false, err
 	}
 	if f.Shard < 0 || f.Shard >= len(s.shards) {
 		return false, fmt.Errorf("%w: shard %d of %d", ErrBadOp, f.Shard, len(s.shards))
@@ -338,6 +338,9 @@ func (s *DurableStore) EpochRecord() (epoch uint64, leader, exists bool) {
 // Promotion is SetEpoch(staleLeaderEpoch+1, true) followed by
 // SetReplica(false); subscription is SetEpoch(leaderEpoch, false).
 func (s *DurableStore) SetEpoch(epoch uint64, leader bool) error {
+	if err := s.needJournal("epoch"); err != nil {
+		return err
+	}
 	if epoch == 0 {
 		return fmt.Errorf("%w: epoch 0", ErrBadOp)
 	}

@@ -17,8 +17,8 @@ import (
 func TestTouchExtendsLease(t *testing.T) {
 	clk := newFakeClock()
 	stores := map[string]Store{
-		"memory":  NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clk.Now)),
-		"durable": openDurable(t, t.TempDir(), WithGCInterval(0), withDurableClock(clk.Now)),
+		"memory":  NewShardedStore(4, WithStoreGCInterval(0), WithClock(clk.Now)),
+		"durable": openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now)),
 	}
 	for name, st := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -60,7 +60,7 @@ func TestTouchExtendsLease(t *testing.T) {
 // clears the expiry bound.
 func TestTouchClearsBoundWithoutTTL(t *testing.T) {
 	clk := newFakeClock()
-	st := openDurable(t, t.TempDir(), WithGCInterval(0), withDurableClock(clk.Now))
+	st := openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now))
 	reg := fakeRegistration(t, 1)
 	reg.SetExpiry(clk.Now().Add(10 * time.Second))
 	id, err := st.Register(reg)
@@ -84,7 +84,7 @@ func TestTouchClearsBoundWithoutTTL(t *testing.T) {
 func TestTouchDefaultTTL(t *testing.T) {
 	clk := newFakeClock()
 	st := openDurable(t, t.TempDir(),
-		WithGCInterval(0), WithTTL(20*time.Second), withDurableClock(clk.Now))
+		WithGCInterval(0), WithTTL(20*time.Second), WithClock(clk.Now))
 	id, err := st.Register(fakeRegistration(t, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestTouchDefaultTTL(t *testing.T) {
 func TestTouchSurvivesRecovery(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
-	st := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	reg := fakeRegistration(t, 2)
 	reg.SetExpiry(clk.Now().Add(10 * time.Second))
 	id, err := st.Register(reg)
@@ -137,7 +137,7 @@ func TestTouchSurvivesRecovery(t *testing.T) {
 	}
 
 	clk.Advance(30 * time.Second) // past the original TTLs, inside the renewal
-	st2 := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st2 := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	rec := st2.Recovery()
 	if rec.Renewals != 1 {
 		t.Errorf("Recovery().Renewals = %d, want 1", rec.Renewals)
@@ -162,7 +162,7 @@ func TestTouchSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Hour)
-	st3 := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st3 := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	if _, err := st3.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("lapsed renewal resurrected: %v", err)
 	}

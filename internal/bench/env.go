@@ -1,11 +1,10 @@
 // Package bench is the experiment harness: it regenerates every evaluation
-// artifact of the paper (the E1..E13 index in DESIGN.md) as printed tables,
-// using the same workload model as the paper's demonstration (synthetic
-// Atlanta-scale road network, Gaussian car placement, shortest-path
-// routing).
+// artifact of the paper (the experiments listed by Experiments) as printed
+// tables, using the same workload model as the paper's demonstration
+// (synthetic Atlanta-scale road network, Gaussian car placement,
+// shortest-path routing).
 //
-// Experiments are deterministic given Options.Seed; EXPERIMENTS.md records
-// the paper-vs-measured comparison for the committed seed.
+// Experiments are deterministic given Options.Seed.
 package bench
 
 import (

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/keys"
@@ -183,8 +184,13 @@ func TestDoRegionSingleflightCollapsesConcurrentMisses(t *testing.T) {
 			results[i] = r
 		}(i)
 	}
-	// Wait until the leader is inside compute, then release everyone.
-	for computes.Load() == 0 {
+	// Wait until the leader is inside compute and every other caller has
+	// joined its flight, then release everyone. Releasing earlier would
+	// let a late caller take the cache-hit path instead of waiting.
+	// The deadline turns a broken singleflight into an assertion failure
+	// below rather than a hang.
+	deadline := time.Now().Add(5 * time.Second)
+	for (computes.Load() == 0 || c.Stats().SingleflightWaits < callers-1) && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
 	close(release)

@@ -141,10 +141,11 @@ type (
 	// Registration is the server-side secret state of one cloaked
 	// location (an opaque handle outside internal code).
 	Registration = anonymizer.Registration
-	// DurableStore is the crash-safe WAL+snapshot registration store.
+	// DurableStore is the registration store: memory-only
+	// (NewShardedStore) or crash-safe WAL+snapshot (OpenDurableStore).
 	DurableStore = anonymizer.DurableStore
-	// DurabilityOption tunes a DurableStore (fsync policy, snapshot
-	// cadence, shard count).
+	// DurabilityOption tunes a DurableStore (TTL, shard count, fsync
+	// policy, snapshot cadence).
 	DurabilityOption = anonymizer.DurabilityOption
 	// FsyncPolicy selects when WAL appends are forced to disk.
 	FsyncPolicy = anonymizer.FsyncPolicy
@@ -155,8 +156,7 @@ type (
 	RecoveryStats = anonymizer.RecoveryStats
 	// ReshardStats describes what an offline Reshard migration moved.
 	ReshardStats = anonymizer.ReshardStats
-	// StoreOption tunes the in-memory sharded store's registration
-	// lifecycle (TTL, GC sweep period).
+	// StoreOption is DurabilityOption under the name existing callers use.
 	StoreOption = anonymizer.StoreOption
 	// Client talks to a Server; it is safe for concurrent use and
 	// pipelines concurrent calls over one connection.
@@ -450,20 +450,19 @@ func WithMaxBatchSize(n int) ServerOption { return anonymizer.WithMaxBatchSize(n
 // DurableStore the caller opened, inspected and will close itself).
 func WithStore(st Store) ServerOption { return anonymizer.WithStore(st) }
 
-// NewShardedStore builds the default in-memory registration store with n
-// shards (n <= 0 selects the default). Options configure the
-// registration TTL and its GC sweeper; close the store to stop the
-// sweeper when it is not installed into a server that owns it.
+// NewShardedStore builds the default registration store: a memory-only
+// DurableStore (no journal) with n shards (n <= 0 selects the default).
+// Options configure the registration TTL and its GC sweeper; close the
+// store to stop the sweeper when it is not installed into a server that
+// owns it.
 func NewShardedStore(n int, opts ...StoreOption) Store {
 	return anonymizer.NewShardedStore(n, opts...)
 }
 
-// WithStoreTTL gives registrations in the in-memory store a default
-// lifetime (0 disables the default).
+// WithStoreTTL is WithTTL under the name existing callers use.
 func WithStoreTTL(d time.Duration) StoreOption { return anonymizer.WithStoreTTL(d) }
 
-// WithStoreGCInterval sets the in-memory store's expiry sweep period
-// (0 disables the sweeper).
+// WithStoreGCInterval is WithGCInterval under the name existing callers use.
 func WithStoreGCInterval(d time.Duration) StoreOption {
 	return anonymizer.WithStoreGCInterval(d)
 }
@@ -502,13 +501,13 @@ func WithSnapshotInterval(d time.Duration) DurabilityOption {
 // directory keeps its original count.
 func WithDurableShards(n int) DurabilityOption { return anonymizer.WithDurableShards(n) }
 
-// WithTTL gives registrations in the durable store a default lifetime,
-// journaled with each registration so it survives restarts (0 disables
+// WithTTL gives registrations a default lifetime, journaled with each
+// registration in a durable store so it survives restarts (0 disables
 // the default).
 func WithTTL(d time.Duration) DurabilityOption { return anonymizer.WithTTL(d) }
 
-// WithGCInterval sets the durable store's expiry sweep period (0
-// disables the sweeper).
+// WithGCInterval sets the store's expiry sweep period (0 disables the
+// sweeper).
 func WithGCInterval(d time.Duration) DurabilityOption { return anonymizer.WithGCInterval(d) }
 
 // ParseFsyncPolicy maps "always", "interval" or "never" to its policy.
